@@ -181,7 +181,7 @@ def batching_benchmark(
     per configuration is reported.
 
     ``batch_size=1`` disables the pipeline entirely (the bit-identical
-    legacy path), so pipeline depth is meaningless there and only the
+    unbatched path), so pipeline depth is meaningless there and only the
     first depth is run — it serves as the in-run baseline that
     ``speedup_vs_unbatched`` is computed against per cluster count.
     """

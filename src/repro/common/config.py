@@ -98,8 +98,9 @@ class ProtocolTuning:
     pipeline_depth: int = 32
     #: client requests ordered per consensus slot (one signature, one
     #: quorum entry, one block per batch).  ``1`` — the default, and
-    #: what the paper argues for — disables the batching pipeline
-    #: entirely and is bit-identical to the unbatched seeds.
+    #: what the paper argues for — never arms the batching pipeline:
+    #: every request is proposed as it arrives (and applied as a batch
+    #: of one), bit-identical to the unbatched seeds.
     batch_size: int = 1
     #: whether the super-primary optimisation (Section 3.2) is enabled.
     use_super_primary: bool = True

@@ -17,7 +17,7 @@ from typing import Any, Callable, ClassVar, Hashable, Mapping, Protocol, runtime
 from ..common.config import ClusterConfig
 from ..common.types import ClusterId, NodeId
 from ..sim.simulator import Timer
-from .log import OrderingLog
+from .log import EntryStatus, OrderingLog
 
 __all__ = ["ConsensusHost", "QuorumTracker", "ConsensusEngine", "HandlerTable"]
 
@@ -193,8 +193,24 @@ class ConsensusEngine(HandlerTable):
         """
 
     # ------------------------------------------------------------------
-    # interface implemented by concrete engines
+    # primary side (concrete engines implement ``propose_at``)
     # ------------------------------------------------------------------
     def submit(self, item: object) -> int | None:
-        """Primary-side entry point: start consensus on ``item``."""
-        raise NotImplementedError
+        """Order ``item``; only the primary of the current view may call this."""
+        if not self.is_primary:
+            return None
+        slot = self.host.log.allocate()
+        self.propose_at(slot, item)
+        return slot
+
+    # ------------------------------------------------------------------
+    # introspection
+    # ------------------------------------------------------------------
+    @property
+    def undecided_count(self) -> int:
+        """Number of slots proposed but not yet decided at this replica."""
+        return sum(
+            1
+            for entry in self.host.log.entries()
+            if entry.status is EntryStatus.PENDING
+        )

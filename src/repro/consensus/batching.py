@@ -21,11 +21,13 @@ overhead, not by execution.  :class:`BatchPipeline` amortises it:
   order behind the window.
 
 The pipeline is **armed only when** ``batch_size > 1``.  At the default
-``batch_size = 1`` the replica never constructs one and every request
-takes the pre-batching code path bit for bit — which is also why the
-window is not enforced there: the legacy behaviour *is* an unbounded
-pipeline of single-request slots, and retrofitting a binding window
-would change every seed.
+``batch_size = 1`` the replica never constructs one: every request is
+proposed the moment it arrives and the window is not enforced — an
+unbounded pipeline of single-request slots, which a binding window would
+turn into different seeds.  Ordering and apply do not fork on batching:
+engines treat a bare request and a batch alike as one ordered item, and
+the replica applies a bare request as a batch of one (see
+:func:`member_requests`).
 
 Window semantics at a view change (see also ``docs/consensus.md``): the
 batcher's window and member index are replica-local bookkeeping, not
@@ -66,6 +68,7 @@ __all__ = [
     "BatchPipeline",
     "member_requests",
     "members_all_committed",
+    "record_member_phase",
     "screen_members",
 ]
 
@@ -77,6 +80,16 @@ def member_requests(item: object) -> tuple[ClientRequest, ...]:
     if isinstance(item, ClientRequest):
         return (item,)
     return ()
+
+
+def record_member_phase(recorder, now: float, item: object, phase: str, pid: int) -> None:
+    """Record lifecycle ``phase`` for every client request ``item`` carries.
+
+    Callers keep their own ``recorder is not None`` check, so an
+    untraced run never reaches this function.
+    """
+    for request in member_requests(item):
+        recorder.phase(now, request.transaction.tx_id, phase, pid)
 
 
 def members_all_committed(chain, item: object) -> bool:
@@ -200,13 +213,11 @@ class BatchPipeline:
         self.batched_requests += len(chunk)
         if len(chunk) > self.max_batch:
             self.max_batch = len(chunk)
+        batch = RequestBatch(requests=tuple(chunk))
         recorder = self.host.recorder
         if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for request in chunk:
-                recorder.phase(now, request.transaction.tx_id, "seal", pid)
-        return RequestBatch(requests=tuple(chunk))
+            record_member_phase(recorder, self.host.now, batch, "seal", int(self.host.node_id))
+        return batch
 
     def _pump_intra(self) -> None:
         host = self.host

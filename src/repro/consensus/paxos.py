@@ -16,8 +16,8 @@ hash-chained formulation produces.
 from __future__ import annotations
 
 from .base import ConsensusEngine, ConsensusHost, QuorumTracker
-from .batching import member_requests
-from .log import EntryStatus, item_digest
+from .batching import record_member_phase
+from .log import item_digest
 from .messages import NewView, PaxosAccept, PaxosAccepted, PaxosCommit, ViewChange
 from .view_change import ViewChangeManager
 
@@ -44,14 +44,6 @@ class PaxosEngine(ConsensusEngine):
     # ------------------------------------------------------------------
     # primary side
     # ------------------------------------------------------------------
-    def submit(self, item: object) -> int | None:
-        """Order ``item``; only the primary of the current view may call this."""
-        if not self.is_primary:
-            return None
-        slot = self.host.log.allocate()
-        self.propose_at(slot, item)
-        return slot
-
     def propose_at(self, slot: int, item: object) -> None:
         """Propose ``item`` at an explicit slot (used by view changes too)."""
         digest = item_digest(item)
@@ -66,8 +58,7 @@ class PaxosEngine(ConsensusEngine):
             now = self.host.now
             pid = int(self.host.node_id)
             recorder.slot_open(now, pid, int(self.host.cluster.cluster_id), slot)
-            for request in member_requests(item):
-                recorder.phase(now, request.transaction.tx_id, "propose", pid)
+            record_member_phase(recorder, now, item, "propose", pid)
             if recorder.causal_armed:
                 recorder.quorum_vote(
                     now, pid, "accept", (self.view, slot, digest), pid, fired
@@ -126,10 +117,7 @@ class PaxosEngine(ConsensusEngine):
         )
         recorder = self.host.recorder
         if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for request in member_requests(item):
-                recorder.phase(now, request.transaction.tx_id, "decided", pid)
+            record_member_phase(recorder, self.host.now, item, "decided", int(self.host.node_id))
         self.view_change.slot_decided(message.slot)
         commit = PaxosCommit(
             view=message.view, slot=message.slot, digest=message.digest, item=item
@@ -146,10 +134,9 @@ class PaxosEngine(ConsensusEngine):
         )
         recorder = self.host.recorder
         if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for request in member_requests(message.item):
-                recorder.phase(now, request.transaction.tx_id, "decided", pid)
+            record_member_phase(
+                recorder, self.host.now, message.item, "decided", int(self.host.node_id)
+            )
         self.view_change.slot_decided(message.slot)
         self.host.after_decide()
 
@@ -159,15 +146,3 @@ class PaxosEngine(ConsensusEngine):
     def compact_below(self, slot: int) -> None:
         """Drop accepted-vote bookkeeping covered by a stable checkpoint."""
         self._accepted.drop(lambda key: key[1] <= slot)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def undecided_count(self) -> int:
-        """Number of slots accepted but not yet decided at this replica."""
-        return sum(
-            1
-            for entry in self.host.log.entries()
-            if entry.status is EntryStatus.PENDING
-        )

@@ -18,8 +18,8 @@ with the Paxos engine (:class:`~repro.consensus.view_change.ViewChangeManager`).
 from __future__ import annotations
 
 from .base import ConsensusEngine, ConsensusHost, QuorumTracker
-from .batching import member_requests
-from .log import EntryStatus, item_digest
+from .batching import record_member_phase
+from .log import item_digest
 from .messages import NewView, PBFTCommit, PrePrepare, Prepare, ViewChange
 from .view_change import ViewChangeManager
 
@@ -56,14 +56,6 @@ class PBFTEngine(ConsensusEngine):
     # ------------------------------------------------------------------
     # primary side
     # ------------------------------------------------------------------
-    def submit(self, item: object) -> int | None:
-        """Order ``item``; only the primary of the current view may call this."""
-        if not self.is_primary:
-            return None
-        slot = self.host.log.allocate()
-        self.propose_at(slot, item)
-        return slot
-
     def propose_at(self, slot: int, item: object) -> None:
         """Send the pre-prepare for ``item`` at an explicit slot."""
         digest = item_digest(item)
@@ -79,8 +71,7 @@ class PBFTEngine(ConsensusEngine):
             now = self.host.now
             pid = int(self.host.node_id)
             recorder.slot_open(now, pid, int(self.host.cluster.cluster_id), slot)
-            for request in member_requests(item):
-                recorder.phase(now, request.transaction.tx_id, "propose", pid)
+            record_member_phase(recorder, now, item, "propose", pid)
         # The primary's pre-prepare counts as its prepare vote.
         self._record_prepare_vote(key, self.host.node_id)
 
@@ -148,10 +139,9 @@ class PBFTEngine(ConsensusEngine):
         if recorder is not None:
             item = self._items.get(key)
             if item is not None:
-                now = self.host.now
-                pid = int(self.host.node_id)
-                for request in member_requests(item):
-                    recorder.phase(now, request.transaction.tx_id, "prepared", pid)
+                record_member_phase(
+                    recorder, self.host.now, item, "prepared", int(self.host.node_id)
+                )
         commit = PBFTCommit(view=view, slot=slot, digest=digest, node=self.host.node_id)
         self.host.multicast_cluster(commit)
         self._record_commit_vote(key, self.host.node_id)
@@ -179,10 +169,7 @@ class PBFTEngine(ConsensusEngine):
         self.host.log.decide(slot, digest, item, proposer=self.cluster_id, view=view)
         recorder = self.host.recorder
         if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for request in member_requests(item):
-                recorder.phase(now, request.transaction.tx_id, "decided", pid)
+            record_member_phase(recorder, self.host.now, item, "decided", int(self.host.node_id))
         self.view_change.slot_decided(slot)
         self.host.after_decide()
 
@@ -241,15 +228,3 @@ class PBFTEngine(ConsensusEngine):
         self._commits.drop(lambda key: key[1] <= slot)
         for key in [key for key in self._items if key[1] <= slot]:
             del self._items[key]
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def undecided_count(self) -> int:
-        """Number of slots pre-prepared but not yet decided at this replica."""
-        return sum(
-            1
-            for entry in self.host.log.entries()
-            if entry.status is EntryStatus.PENDING
-        )

@@ -12,6 +12,17 @@ layered on top of intra-shard consensus.  Two variants exist:
   accepts and commits are multicast all-to-all among the involved nodes
   and quorums are ``2f + 1`` per cluster.
 
+Both run the same phases over the same bookkeeping, so everything they
+share lives in one private base, :class:`_CrossShardEngine`: the
+counters, the per-instance state and slot-assignment tables, the local
+slot get-or-allocate, the "already committed" check (ordering log first,
+then the ledger's transaction index below the checkpoint low-water
+mark), the provisional slot reservation, the retry timer and its abort
+budget, the decide tail (decide the local slot, tolerate a slot a view
+change already no-op filled, record ``decided``, apply), and checkpoint
+compaction.  Each subclass keeps only its own message flow — who
+multicasts what to whom, and which quorum fires the commit.
+
 Implementation interpretation (documented in DESIGN.md): consensus
 instances are pipelined over per-cluster sequence numbers instead of
 being chained on the literal hash of the previous block.  The position a
@@ -39,7 +50,7 @@ from typing import TYPE_CHECKING
 from ..common.errors import ConsensusError
 from ..common.types import ClusterId, NodeId
 from ..consensus.base import HandlerTable
-from ..consensus.batching import member_requests, members_all_committed, screen_members
+from ..consensus.batching import members_all_committed, record_member_phase, screen_members
 from ..consensus.log import Noop, item_digest
 from ..consensus.messages import (
     ClientRequest,
@@ -59,6 +70,149 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["CrashCrossShardEngine", "ByzantineCrossShardEngine"]
 
 
+class _CrossShardEngine(HandlerTable):
+    """What Algorithms 1 and 2 share; subclasses add the message flow.
+
+    Subclasses declare ``HANDLERS`` and implement :meth:`_may_retry` and
+    :meth:`_resend`, the two places their retry paths differ.  Per-instance
+    state objects need ``request``, ``digest``, ``attempt``, ``decided``
+    and ``timer`` attributes.
+    """
+
+    def __init__(self, host: "SharPerReplica") -> None:
+        self.host = host
+        self._build_handlers()
+        #: per-instance bookkeeping, keyed by item digest.
+        self._states: dict = {}
+        #: this cluster's slot for each instance it reserved one for.
+        self._assigned_slots: dict[str, int] = {}
+        self.initiated = 0
+        self.committed = 0
+        self.retries = 0
+        self.aborted = 0
+        #: commits dropped because the local slot was resolved otherwise.
+        self.late_commits = 0
+
+    # ------------------------------------------------------------------
+    # local slots
+    # ------------------------------------------------------------------
+    def _slot_for(self, digest: str) -> int:
+        """This cluster's slot for instance ``digest``, allocated on first use."""
+        slot = self._assigned_slots.get(digest)
+        if slot is None:
+            slot = self.host.log.allocate()
+            self._assigned_slots[digest] = slot
+        return slot
+
+    def _try_record_pending(self, slot: int, digest: str, request: object) -> None:
+        try:
+            self.host.log.record_pending(slot, digest, request, proposer=self.host.cluster_id)
+        except ConsensusError:
+            # The slot is already taken by a different digest; the commit
+            # message will resolve the final assignment.
+            pass
+
+    def _committed_slot(self, digest: str, request: object) -> int | None:
+        """Local position of an already-committed item, if any.
+
+        The log's digest index is truncated below the low-water mark, so
+        a (very) stale duplicate of a checkpointed transaction must be
+        caught through the ledger's retained transaction index instead —
+        re-running the instance would double-commit it.  A batch counts
+        as committed only when *every* member did (a partially settled
+        batch must stay orderable; apply-time skips handle the rest),
+        and answers with the representative member's position.
+        """
+        host = self.host
+        slot = host.log.decided_slot_of(digest)
+        if slot is not None:
+            return slot
+        chain = getattr(host, "chain", None)
+        if chain is None or not members_all_committed(chain, request):
+            return None
+        return chain.position_of_tx(request.transaction.tx_id)
+
+    # ------------------------------------------------------------------
+    # retries
+    # ------------------------------------------------------------------
+    def _arm_retry_timer(self, state) -> None:
+        if state.timer is not None:
+            state.timer.cancel()
+        state.timer = self.host.set_timer(
+            self.host.tuning.conflict_retry_delay * (state.attempt + 1),
+            self._on_retry_timeout,
+            state.digest,
+        )
+
+    def _on_retry_timeout(self, digest: str) -> None:
+        state = self._states.get(digest)
+        if state is None or state.decided or not self._may_retry(state):
+            return
+        if state.attempt >= self.host.tuning.max_conflict_retries:
+            self.aborted += 1
+            self.host.on_cross_shard_abort(state.request)
+            return
+        state.attempt += 1
+        self.retries += 1
+        self._resend(state)
+
+    def _may_retry(self, state) -> bool:
+        """Whether this node drives retries of ``state``'s instance."""
+        raise NotImplementedError
+
+    def _resend(self, state) -> None:
+        """Re-run ``state``'s instance under its incremented attempt."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # deciding
+    # ------------------------------------------------------------------
+    def _decide(
+        self, slot: int, digest: str, request: object, positions: dict, proposer: ClusterId
+    ) -> None:
+        """Decide the local ``slot`` of an instance and apply what is ready.
+
+        The one tolerated conflict is a slot a view change no-op filled
+        before this late commit arrived: it is dropped (the client's
+        retry re-runs the instance at a fresh position) and counted in
+        ``late_commits``.  A conflicting *real* decision is a genuine
+        fork and keeps raising.
+        """
+        host = self.host
+        try:
+            host.log.decide(slot, digest, request, positions=positions, proposer=proposer)
+        except ConsensusError:
+            entry = host.log.entry(slot)
+            if entry is None or not isinstance(entry.item, Noop):
+                raise
+            self.late_commits += 1
+            return
+        recorder = host.recorder
+        if recorder is not None:
+            record_member_phase(recorder, host.now, request, "decided", int(host.node_id))
+        host.after_decide()
+
+    # ------------------------------------------------------------------
+    # checkpoint compaction (repro.recovery)
+    # ------------------------------------------------------------------
+    def compact_below(self, slot: int) -> None:
+        """Drop bookkeeping for instances decided at or below ``slot``.
+
+        Decided instances whose local slot fell at or below the
+        checkpoint can never be consulted again (stale proposals are
+        answered through the ledger's transaction index), so their vote
+        sets and slot assignments are dropped.  Undecided instances stay
+        — their retry timers are still live.
+        """
+        states = self._states
+        assigned_slots = self._assigned_slots
+        for digest in [d for d, s in assigned_slots.items() if s <= slot]:
+            del assigned_slots[digest]
+            state = states.get(digest)
+            if state is not None and state.decided:
+                del states[digest]
+
+
 # ----------------------------------------------------------------------
 # crash-only clusters — Algorithm 1
 # ----------------------------------------------------------------------
@@ -76,35 +230,7 @@ class _CrashState:
     timer: Timer | None = None
 
 
-def _compact_cross_state(states: dict, assigned_slots: dict[str, int], slot: int) -> None:
-    """Garbage-collect decided per-instance state below a stable checkpoint.
-
-    Shared by both cross-shard engines: decided instances whose local
-    slot fell at or below the checkpoint can never be consulted again
-    (stale proposals are answered through the ledger's transaction
-    index), so their vote sets and slot assignments are dropped.
-    Undecided instances stay — their retry timers are still live.
-    """
-    for digest in [d for d, s in assigned_slots.items() if s <= slot]:
-        del assigned_slots[digest]
-        state = states.get(digest)
-        if state is not None and state.decided:
-            del states[digest]
-
-
-def _is_noop_filled(host, slot: int) -> bool:
-    """Whether ``slot`` was resolved to a gap-filling no-op locally.
-
-    Distinguishes the one tolerated decide conflict — a view change
-    no-op-filled the slot before a late cross-shard commit arrived —
-    from a genuine fork (two real decisions for one slot), which must
-    keep raising loudly.
-    """
-    entry = host.log.entry(slot)
-    return entry is not None and isinstance(entry.item, Noop)
-
-
-class CrashCrossShardEngine(HandlerTable):
+class CrashCrossShardEngine(_CrossShardEngine):
     """Algorithm 1: flattened cross-shard consensus for crash-only nodes."""
 
     HANDLERS = {
@@ -113,33 +239,20 @@ class CrashCrossShardEngine(HandlerTable):
         CrossCommit: "_on_commit",
     }
 
-    def __init__(self, host: "SharPerReplica") -> None:
-        self.host = host
-        self._build_handlers()
-        self._states: dict[str, _CrashState] = {}
-        self._assigned_slots: dict[str, int] = {}
-        self.initiated = 0
-        self.committed = 0
-        self.retries = 0
-        self.aborted = 0
-        #: commits dropped because the local slot was resolved otherwise.
-        self.late_commits = 0
-
     # ------------------------------------------------------------------
     # initiator side
     # ------------------------------------------------------------------
     def start(self, request: ClientRequest) -> None:
         """Initiate consensus on a cross-shard transaction (primary only)."""
         digest = item_digest(request)
-        if self.host.log.decided_slot_of(digest) is not None:
+        if self._committed_slot(digest, request) is not None:
             # Duplicate submission of an already-committed transaction.
-            return
-        if self._committed_before_checkpoint(request):
             return
         involved = self.host.involved_clusters_of(request.transaction)
         state = self._states.get(digest)
         if state is None:
-            slot = self._reserve_local_slot(digest, request)
+            slot = self._slot_for(digest)
+            self.host.log.record_pending(slot, digest, request, proposer=self.host.cluster_id)
             state = _CrashState(request=request, digest=digest, involved=involved)
             state.slots[self.host.cluster_id] = slot
             state.votes[self.host.cluster_id] = {self.host.node_id}
@@ -149,8 +262,7 @@ class CrashCrossShardEngine(HandlerTable):
             if recorder is not None:
                 now = self.host.now
                 pid = int(self.host.node_id)
-                for member in member_requests(request):
-                    recorder.phase(now, member.transaction.tx_id, "cross_start", pid)
+                record_member_phase(recorder, now, request, "cross_start", pid)
                 if recorder.causal_armed:
                     # The initiator's own vote (counted above) never fires
                     # the quorum by itself: every involved cluster needs a
@@ -158,14 +270,6 @@ class CrashCrossShardEngine(HandlerTable):
                     recorder.quorum_vote(now, pid, "cross_accept", digest, pid, False)
         self._broadcast_propose(state)
         self._arm_retry_timer(state)
-
-    def _reserve_local_slot(self, digest: str, request: ClientRequest) -> int:
-        slot = self._assigned_slots.get(digest)
-        if slot is None:
-            slot = self.host.log.allocate()
-            self._assigned_slots[digest] = slot
-        self.host.log.record_pending(slot, digest, request, proposer=self.host.cluster_id)
-        return slot
 
     def _broadcast_propose(self, state: _CrashState) -> None:
         message = CrossPropose(
@@ -178,49 +282,17 @@ class CrashCrossShardEngine(HandlerTable):
         )
         self.host.multicast_nodes(self.host.nodes_of_clusters(state.involved), message)
 
-    def _arm_retry_timer(self, state: _CrashState) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-        state.timer = self.host.set_timer(
-            self.host.tuning.conflict_retry_delay * (state.attempt + 1),
-            self._on_retry_timeout,
-            state.digest,
-        )
+    def _may_retry(self, state: _CrashState) -> bool:
+        # Only the initiator holds crash-engine state.
+        return True
 
-    def _on_retry_timeout(self, digest: str) -> None:
-        state = self._states.get(digest)
-        if state is None or state.decided:
-            return
-        if state.attempt >= self.host.tuning.max_conflict_retries:
-            self.aborted += 1
-            self.host.on_cross_shard_abort(state.request)
-            return
-        state.attempt += 1
-        self.retries += 1
+    def _resend(self, state: _CrashState) -> None:
         self._broadcast_propose(state)
         self._arm_retry_timer(state)
 
     # ------------------------------------------------------------------
     # message handling (table-driven; see HandlerTable.handle)
     # ------------------------------------------------------------------
-    def _committed_before_checkpoint(self, request) -> int | None:
-        """Chain position of an already-committed item, if any.
-
-        The log's digest index is truncated below the low-water mark, so
-        a (very) stale duplicate of a checkpointed transaction must be
-        caught through the ledger's retained transaction index instead —
-        re-running the instance would double-commit it.  A batch counts
-        as committed only when *every* member did (a partially settled
-        batch must stay orderable; apply-time skips handle the rest),
-        and answers with the representative member's position.
-        """
-        chain = getattr(self.host, "chain", None)
-        if chain is None:
-            return None
-        if not members_all_committed(chain, request):
-            return None
-        return chain.position_of_tx(request.transaction.tx_id)
-
     def _on_propose(self, message: CrossPropose, src: int) -> None:
         guard = self.host.request_guard
         if guard is not None and screen_members(guard, message.request) != ADMIT:
@@ -230,37 +302,21 @@ class CrashCrossShardEngine(HandlerTable):
             # never saw the original client submission.
             return
         digest = message.digest
-        decided_slot = self.host.log.decided_slot_of(digest)
-        if decided_slot is None:
-            decided_slot = self._committed_before_checkpoint(message.request)
-        if decided_slot is not None:
-            # Already committed here: answer idempotently so a retrying
-            # initiator can complete.
-            reply = CrossAccept(
-                digest=digest,
-                cluster=self.host.cluster_id,
-                node=self.host.node_id,
-                slot=decided_slot,
-                attempt=message.attempt,
-            )
-            self.host.send_to(src, reply)
-            return
-        slot: int | None
-        if message.initiator_cluster == self.host.cluster_id:
-            # Backup of the initiator cluster: the initiator already fixed
-            # the local position.
-            slot = message.initiator_slot
-            self._try_record_pending(slot, digest, message.request)
-        elif self.host.is_cluster_primary:
-            slot = self._assigned_slots.get(digest)
-            if slot is None:
-                slot = self.host.log.allocate()
-                self._assigned_slots[digest] = slot
-            self._try_record_pending(slot, digest, message.request)
-        else:
-            # Backup of a remote involved cluster: it agrees with whatever
-            # position its own primary reserves (learned at commit time).
-            slot = None
+        # Already committed here: answer idempotently with the committed
+        # position so a retrying initiator can complete.
+        slot = self._committed_slot(digest, message.request)
+        if slot is None:
+            if message.initiator_cluster == self.host.cluster_id:
+                # Backup of the initiator cluster: the initiator already
+                # fixed the local position.
+                slot = message.initiator_slot
+                self._try_record_pending(slot, digest, message.request)
+            elif self.host.is_cluster_primary:
+                slot = self._slot_for(digest)
+                self._try_record_pending(slot, digest, message.request)
+            # Otherwise a backup of a remote involved cluster: it agrees
+            # with whatever position its own primary reserves (learned
+            # at commit time), so it votes with no slot.
         reply = CrossAccept(
             digest=digest,
             cluster=self.host.cluster_id,
@@ -269,14 +325,6 @@ class CrashCrossShardEngine(HandlerTable):
             attempt=message.attempt,
         )
         self.host.send_to(src, reply)
-
-    def _try_record_pending(self, slot: int, digest: str, request: object) -> None:
-        try:
-            self.host.log.record_pending(slot, digest, request, proposer=self.host.cluster_id)
-        except ConsensusError:
-            # The slot is already taken by a different digest; the commit
-            # message will resolve the final assignment.
-            pass
 
     def _on_accept(self, message: CrossAccept, src: int) -> None:
         state = self._states.get(message.digest)
@@ -309,10 +357,9 @@ class CrashCrossShardEngine(HandlerTable):
         self.committed += 1
         recorder = self.host.recorder
         if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for member in member_requests(state.request):
-                recorder.phase(now, member.transaction.tx_id, "cross_prepared", pid)
+            record_member_phase(
+                recorder, self.host.now, state.request, "cross_prepared", int(self.host.node_id)
+            )
         positions = dict(state.slots)
         commit = CrossCommit(
             digest=state.digest,
@@ -322,63 +369,17 @@ class CrashCrossShardEngine(HandlerTable):
             attempt=state.attempt,
         )
         self.host.multicast_nodes(self.host.nodes_of_clusters(state.involved), commit)
-        try:
-            self.host.log.decide(
-                positions[self.host.cluster_id],
-                state.digest,
-                state.request,
-                positions=positions,
-                proposer=self.host.cluster_id,
-            )
-        except ConsensusError:
-            if not _is_noop_filled(self.host, positions[self.host.cluster_id]):
-                raise
-            self.late_commits += 1
-            return
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for member in member_requests(state.request):
-                recorder.phase(now, member.transaction.tx_id, "decided", pid)
-        self.host.after_decide()
+        self._decide(
+            positions[self.host.cluster_id], state.digest, state.request,
+            positions, self.host.cluster_id,
+        )
 
     def _on_commit(self, message: CrossCommit, src: int) -> None:
         positions = dict(message.positions)
         my_slot = positions.get(self.host.cluster_id)
         if my_slot is None:
             return
-        try:
-            self.host.log.decide(
-                my_slot,
-                message.digest,
-                message.request,
-                positions=positions,
-                proposer=message.proposer,
-            )
-        except ConsensusError:
-            # The local slot was no-op filled by a view change that
-            # outran this commit.  Drop the late commit instead of
-            # crashing; the client's retry re-runs the instance at a
-            # fresh position.  Anything else is a genuine fork and
-            # keeps raising.
-            if not _is_noop_filled(self.host, my_slot):
-                raise
-            self.late_commits += 1
-            return
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for member in member_requests(message.request):
-                recorder.phase(now, member.transaction.tx_id, "decided", pid)
-        self.host.after_decide()
-
-    # ------------------------------------------------------------------
-    # checkpoint compaction (repro.recovery)
-    # ------------------------------------------------------------------
-    def compact_below(self, slot: int) -> None:
-        """Drop bookkeeping for instances decided at or below ``slot``."""
-        _compact_cross_state(self._states, self._assigned_slots, slot)
+        self._decide(my_slot, message.digest, message.request, positions, message.proposer)
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +408,7 @@ class _ByzState:
     timer: Timer | None = None
 
 
-class ByzantineCrossShardEngine(HandlerTable):
+class ByzantineCrossShardEngine(_CrossShardEngine):
     """Algorithm 2: flattened cross-shard consensus for Byzantine nodes."""
 
     HANDLERS = {
@@ -416,38 +417,18 @@ class ByzantineCrossShardEngine(HandlerTable):
         CrossCommitB: "_on_commit",
     }
 
-    def __init__(self, host: "SharPerReplica") -> None:
-        self.host = host
-        self._build_handlers()
-        self._states: dict[str, _ByzState] = {}
-        self._assigned_slots: dict[str, int] = {}
-        self.initiated = 0
-        self.committed = 0
-        self.retries = 0
-        self.aborted = 0
-        #: commits dropped because the local slot was resolved otherwise.
-        self.late_commits = 0
-
     # ------------------------------------------------------------------
     # initiator side
     # ------------------------------------------------------------------
     def start(self, request: ClientRequest) -> None:
         """Initiate consensus on a cross-shard transaction (primary only)."""
         digest = item_digest(request)
-        if self.host.log.decided_slot_of(digest) is not None:
-            return
-        chain = getattr(self.host, "chain", None)
-        if chain is not None and members_all_committed(chain, request):
-            # Committed below the checkpoint low-water mark; the digest
-            # index no longer knows it, but the ledger index does.
+        if self._committed_slot(digest, request) is not None:
             return
         involved = self.host.involved_clusters_of(request.transaction)
         state = self._state(digest)
         if state.request is None:
-            slot = self._assigned_slots.get(digest)
-            if slot is None:
-                slot = self.host.log.allocate()
-                self._assigned_slots[digest] = slot
+            slot = self._slot_for(digest)
             state.request = request
             state.involved = involved
             state.initiator_cluster = self.host.cluster_id
@@ -456,10 +437,9 @@ class ByzantineCrossShardEngine(HandlerTable):
             self.initiated += 1
             recorder = self.host.recorder
             if recorder is not None:
-                now = self.host.now
-                pid = int(self.host.node_id)
-                for member in member_requests(request):
-                    recorder.phase(now, member.transaction.tx_id, "cross_start", pid)
+                record_member_phase(
+                    recorder, self.host.now, request, "cross_start", int(self.host.node_id)
+                )
         propose = CrossProposeB(
             digest=digest,
             request=request,
@@ -479,33 +459,15 @@ class ByzantineCrossShardEngine(HandlerTable):
             self._states[digest] = state
         return state
 
-    def _try_record_pending(self, slot: int, digest: str, request: object) -> None:
-        try:
-            self.host.log.record_pending(slot, digest, request, proposer=self.host.cluster_id)
-        except ConsensusError:
-            pass
-
-    def _arm_retry_timer(self, state: _ByzState) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-        state.timer = self.host.set_timer(
-            self.host.tuning.conflict_retry_delay * (state.attempt + 1),
-            self._on_retry_timeout,
-            state.digest,
+    def _may_retry(self, state: _ByzState) -> bool:
+        # Every involved node holds state; only the initiator primary retries.
+        return (
+            state.request is not None
+            and state.initiator_cluster == self.host.cluster_id
+            and self.host.is_cluster_primary
         )
 
-    def _on_retry_timeout(self, digest: str) -> None:
-        state = self._states.get(digest)
-        if state is None or state.decided or state.request is None:
-            return
-        if state.initiator_cluster != self.host.cluster_id or not self.host.is_cluster_primary:
-            return
-        if state.attempt >= self.host.tuning.max_conflict_retries:
-            self.aborted += 1
-            self.host.on_cross_shard_abort(state.request)
-            return
-        state.attempt += 1
-        self.retries += 1
+    def _resend(self, state: _ByzState) -> None:
         self.start(state.request)
 
     # ------------------------------------------------------------------
@@ -529,21 +491,14 @@ class ByzantineCrossShardEngine(HandlerTable):
         state.initiator_cluster = message.initiator_cluster
         state.attempt = max(state.attempt, message.attempt)
         state.announced_slots[message.initiator_cluster] = message.initiator_slot
-        if self.host.log.decided_slot_of(message.digest) is not None:
-            return
-        chain = getattr(self.host, "chain", None)
-        if chain is not None and members_all_committed(chain, message.request):
-            # Committed below the checkpoint low-water mark already.
+        if self._committed_slot(message.digest, message.request) is not None:
             return
         my_cluster = self.host.cluster_id
         if my_cluster == message.initiator_cluster:
             state.announced_slots[my_cluster] = message.initiator_slot
             self._try_record_pending(message.initiator_slot, message.digest, message.request)
         elif self.host.is_cluster_primary and my_cluster not in state.announced_slots:
-            slot = self._assigned_slots.get(message.digest)
-            if slot is None:
-                slot = self.host.log.allocate()
-                self._assigned_slots[message.digest] = slot
+            slot = self._slot_for(message.digest)
             state.announced_slots[my_cluster] = slot
             self._try_record_pending(slot, message.digest, message.request)
         self._send_accept(state)
@@ -608,10 +563,9 @@ class ByzantineCrossShardEngine(HandlerTable):
         state.commit_sent = True
         recorder = self.host.recorder
         if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for member in member_requests(state.request):
-                recorder.phase(now, member.transaction.tx_id, "cross_prepared", pid)
+            record_member_phase(
+                recorder, self.host.now, state.request, "cross_prepared", int(self.host.node_id)
+            )
         positions = {cluster: state.confirmed_slots[cluster] for cluster in state.involved}
         commit = CrossCommitB(
             digest=state.digest,
@@ -664,34 +618,4 @@ class ByzantineCrossShardEngine(HandlerTable):
             if state.initiator_cluster is not None
             else self.host.cluster_id
         )
-        try:
-            self.host.log.decide(
-                my_slot,
-                state.digest,
-                state.request,
-                positions=positions,
-                proposer=proposer,
-            )
-        except ConsensusError:
-            # Local slot no-op filled by a view change that outran the
-            # commit quorum; drop the late decision — the client's
-            # retry re-runs the instance.  A conflicting *real*
-            # decision is a genuine fork and keeps raising.
-            if not _is_noop_filled(self.host, my_slot):
-                raise
-            self.late_commits += 1
-            return
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for member in member_requests(state.request):
-                recorder.phase(now, member.transaction.tx_id, "decided", pid)
-        self.host.after_decide()
-
-    # ------------------------------------------------------------------
-    # checkpoint compaction (repro.recovery)
-    # ------------------------------------------------------------------
-    def compact_below(self, slot: int) -> None:
-        """Drop bookkeeping for instances decided at or below ``slot``."""
-        _compact_cross_state(self._states, self._assigned_slots, slot)
+        self._decide(my_slot, state.digest, state.request, positions, proposer)

@@ -108,9 +108,9 @@ class SharPerReplica(Process):
         #: fast path — one ``is None`` check per client request).
         self.request_guard: RequestGuard | None = None
         # Batching pipeline, armed only when batch_size > 1: at the
-        # default of 1 every request takes the pre-batching code path
-        # bit for bit (and the in-flight window is not enforced — the
-        # legacy behaviour is an unbounded pipeline of singleton slots).
+        # default of 1 every request is proposed as it arrives and the
+        # in-flight window is not enforced (an unbounded pipeline of
+        # single-request slots).
         self.batcher: BatchPipeline | None = (
             BatchPipeline(self) if self.tuning.batch_size > 1 else None
         )
@@ -449,6 +449,20 @@ class SharPerReplica(Process):
         self._monitor_gap()
 
     def _apply(self, entry) -> None:
+        """Apply one decided slot: client requests, a no-op, or a marker.
+
+        A bare :class:`ClientRequest` is applied as a batch of one, so
+        both ordered forms share one member loop and one block: one
+        dispatch, one fused CPU charge, one ledger append per slot,
+        while every member keeps its individual transaction semantics
+        (at-most-once execution, guard bookkeeping, its own client
+        reply).  Members already committed — a retry that beat this slot
+        through a view-change hand-off, or a duplicate proposed past the
+        door by a Byzantine primary — are skipped; a slot whose members
+        were *all* settled elsewhere degenerates to a no-op block, so
+        every correct replica fills it identically and the chain stays
+        contiguous and fork-free.
+        """
         positions = entry.positions or {self.cluster_id: entry.slot}
         parents = {self.cluster_id: self.chain.head_hash}
         proposer = entry.proposer if entry.proposer is not None else self.cluster_id
@@ -460,116 +474,36 @@ class SharPerReplica(Process):
             # Free the batcher's in-flight window entry for this slot
             # (a no-op on every replica but the proposing primary).
             self.batcher.item_applied(entry.digest)
-        if isinstance(item, RequestBatch):
-            self._apply_batch(item, positions, proposer, parents)
-            return
-        if isinstance(item, ClientRequest):
-            transaction = item.transaction
-            guard = self.request_guard
-            if guard is not None and guard.is_duplicate_apply(transaction.tx_id):
-                # At-most-once backstop: a duplicate of an already-
-                # committed transaction was ordered past the door (e.g.
-                # proposed directly by a Byzantine primary).  Executing
-                # it would double-spend and the ledger append would
-                # refuse it; fill the slot with a no-op instead — every
-                # correct replica applies slots in the same order, so
-                # the whole cluster fills identically and no fork arises.
-                self.charge(self.cost_model.append_cost)
-                self.chain.append(Block.noop(positions, proposer=proposer, parents=parents))
-                return
-            # involved_shards is memoised on the shared payload, so this
-            # guard costs one cache probe per applied transaction.
-            if len(positions) == 1 and len(transaction.involved_shards(self.mapper)) > 1:
-                # Backstop for cross-shard atomicity: a cross-shard
-                # transaction decided without its full position vector
-                # (every known path is closed, but a half-execution
-                # would silently mint or destroy money).  Fill the slot
-                # with a no-op and send no reply — the client's retry
-                # commits the transaction atomically elsewhere.
-                if guard is not None:
-                    guard.abandoned(transaction.tx_id)
-                self.charge(self.cost_model.append_cost)
-                self.chain.append(Block.noop(positions, proposer=proposer, parents=parents))
-                return
-            # One fused CPU charge for append + execution (charging is
-            # associative, so this is exactly two consecutive charges).
-            self.charge(self.cost_model.append_cost + self.cost_model.execution_cost)
-            result = self.executor.execute(transaction)
-            if not result.success:
-                self.failed_executions += 1
-            block = self._block_for(transaction, positions, proposer, parents)
-            self.chain.append(block)
-            self.committed_count += 1
-            if recorder is not None:
-                recorder.phase(self.sim.now, transaction.tx_id, "applied", self.pid)
-            if guard is not None:
-                guard.committed(item)
-            cross = len(positions) > 1
-            if cross:
-                self.committed_cross_count += 1
-            if self._should_reply(proposer):
-                self._send_reply(item, success=result.success, cross_shard=cross)
-        elif isinstance(item, Noop):
+        chain = self.chain
+        if isinstance(item, Noop):
             self.charge(self.cost_model.append_cost)
-            block = Block.noop(positions, proposer=proposer, parents=parents)
-            self.chain.append(block)
-        else:
+            chain.append(Block.noop(positions, proposer=proposer, parents=parents))
+            return
+        if not isinstance(item, (ClientRequest, RequestBatch)):
             self.charge(self.cost_model.append_cost)
             self.on_marker_applied(entry, positions, parents, proposer)
-
-    def _block_for(self, transaction, positions, proposer, parents) -> Block:
-        """One :class:`Block` object shared by replicas building the same block.
-
-        Every replica of a cluster decides the same ``(transaction,
-        positions, proposer, parents)`` tuple for a slot — and block
-        identity excludes parent hashes — so the first replica to apply
-        it builds (and hashes) the block and the rest reuse the object
-        via a memo on the shared transaction payload.  Parents are part
-        of the memo key, so each cluster of a cross-shard transaction
-        still materialises a block carrying its own parent reference.
-        """
-        key = (
-            tuple(positions.items())
-            if len(positions) == 1
-            else tuple(sorted(positions.items())),
-            proposer,
-            tuple(parents.items()),
-        )
-        memo = transaction.__dict__.get("_block_memo")
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        block = Block.create(transaction, positions, proposer=proposer, parents=parents)
-        object.__setattr__(transaction, "_block_memo", (key, block))
-        return block
-
-    def _apply_batch(self, batch: RequestBatch, positions, proposer, parents) -> None:
-        """Apply one batched slot: per-member semantics, one block.
-
-        This is where batching amortises the apply loop: one dispatch,
-        one fused CPU charge, one ledger append for the whole batch —
-        while every member keeps its individual transaction semantics
-        (at-most-once execution, guard bookkeeping, its own client
-        reply).  Members already committed elsewhere — a retry that beat
-        this batch through a view-change hand-off — are skipped, exactly
-        like the singleton duplicate-apply backstop; a batch whose
-        members were *all* settled elsewhere degenerates to a no-op
-        block, so the chain stays contiguous and fork-free.
-        """
+            return
         guard = self.request_guard
-        chain = self.chain
         cross = len(positions) > 1
         executed: list[tuple[ClientRequest, bool]] = []
-        for request in batch.requests:
+        for request in member_requests(item):
             transaction = request.transaction
+            # At-most-once: skip a member already in the chain (the
+            # guard, when armed, also counts and forgets the duplicate).
             if guard is not None:
                 if guard.is_duplicate_apply(transaction.tx_id):
                     continue
             elif chain.contains_tx(transaction.tx_id):
                 continue
-            if len(positions) == 1 and len(transaction.involved_shards(self.mapper)) > 1:
-                # Cross-shard atomicity backstop, per member (see
-                # _apply): never half-execute a cross-shard transaction
-                # that lost its position vector.
+            # involved_shards is memoised on the shared payload, so this
+            # guard costs one cache probe per applied transaction.
+            if not cross and len(transaction.involved_shards(self.mapper)) > 1:
+                # Backstop for cross-shard atomicity: a cross-shard
+                # transaction decided without its full position vector
+                # (every known path is closed, but a half-execution
+                # would silently mint or destroy money) is skipped with
+                # no reply — the client's retry commits it atomically
+                # elsewhere.
                 if guard is not None:
                     guard.abandoned(transaction.tx_id)
                 continue
@@ -588,13 +522,8 @@ class SharPerReplica(Process):
         if not executed:
             chain.append(Block.noop(positions, proposer=proposer, parents=parents))
             return
-        block = self._block_for_batch(
-            batch, tuple(request.transaction for request, _ in executed),
-            positions, proposer, parents,
-        )
-        chain.append(block)
+        chain.append(self._block_for(item, executed, positions, proposer, parents))
         self.committed_count += len(executed)
-        recorder = self.recorder
         if recorder is not None:
             now = self.sim.now
             for request, _success in executed:
@@ -605,16 +534,20 @@ class SharPerReplica(Process):
             for request, success in executed:
                 self._send_reply(request, success=success, cross_shard=cross)
 
-    def _block_for_batch(
-        self, batch: RequestBatch, transactions, positions, proposer, parents
-    ) -> Block:
-        """Batch variant of :meth:`_block_for`, memoised on the batch payload.
+    def _block_for(self, item, executed, positions, proposer, parents) -> Block:
+        """One :class:`Block` object shared by replicas building the same block.
 
-        The executed-member tuple joins the memo key: replicas of one
-        cluster always skip the same members (the ledger index is
-        cluster-consistent), but the clusters of a cross-shard batch may
-        legitimately differ, and they already differ in ``parents``.
+        Every replica of a cluster decides the same ``(item, positions,
+        proposer, parents)`` tuple for a slot — and block identity
+        excludes parent hashes — so the first replica to apply it builds
+        (and hashes) the block and the rest reuse the object via a memo
+        on the shared item.  Parents and the executed members join the
+        memo key: replicas of one cluster always skip the same members
+        (the ledger index is cluster-consistent), but each cluster of a
+        cross-shard slot carries its own parent reference and may skip
+        different members.
         """
+        transactions = tuple(request.transaction for request, _ in executed)
         key = (
             tuple(positions.items())
             if len(positions) == 1
@@ -623,11 +556,11 @@ class SharPerReplica(Process):
             tuple(parents.items()),
             tuple(tx.tx_id for tx in transactions),
         )
-        memo = batch.__dict__.get("_block_memo")
+        memo = item.__dict__.get("_block_memo")
         if memo is not None and memo[0] == key:
             return memo[1]
         block = Block.create_batch(transactions, positions, proposer=proposer, parents=parents)
-        object.__setattr__(batch, "_block_memo", (key, block))
+        object.__setattr__(item, "_block_memo", (key, block))
         return block
 
     def on_marker_applied(self, entry, positions, parents, proposer) -> None:
@@ -705,17 +638,7 @@ class SharPerReplica(Process):
         index so client retries can re-enter the pipeline).
         """
         for request in member_requests(item):
-            if request.reply_to < 0:
-                continue
-            reply = ClientReply(
-                tx_id=request.transaction.tx_id,
-                node=self.node_id,
-                cluster=self.cluster_id,
-                view=self.intra.view,
-                success=False,
-                cross_shard=True,
-            )
-            self.send(request.reply_to, reply)
+            self._send_reply(request, success=False, cross_shard=True)
         if self.batcher is not None:
             self.batcher.item_applied(item_digest(item))
 

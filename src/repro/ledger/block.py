@@ -1,8 +1,9 @@
 """Transaction blocks of the SharPer DAG ledger.
 
-In SharPer each block contains a single transaction (Section 2.3 — the
-paper argues batching hurts in permissioned settings; the block-size
-ablation benchmark revisits that choice).  A block records, for every
+A block holds the transactions of one decided consensus slot: a single
+transaction by default, as in the paper (Section 2.3 argues batching
+hurts in permissioned settings), or every executed member of a batched
+slot when ``ProtocolTuning.batch_size > 1``.  A block records, for every
 involved cluster:
 
 * the *position* the block occupies in that cluster's chain (the ``o_i``
@@ -46,7 +47,8 @@ GENESIS_BLOCK_ID = "genesis"
 class Block:
     """One vertex of the blockchain DAG."""
 
-    #: transactions contained in the block (exactly one by default).
+    #: transactions contained in the block (one per executed member of
+    #: the slot; exactly one when batching is off).
     transactions: tuple[Transaction, ...]
     #: per-cluster position of this block in the cluster's chain.
     positions: tuple[tuple[ClusterId, int], ...]
@@ -160,7 +162,12 @@ class Block:
         proposer: ClusterId,
         parents: Mapping[ClusterId, str] | None = None,
     ) -> "Block":
-        """Build a batched block (used only by the block-size ablation)."""
+        """Build a block holding ``transactions`` in order.
+
+        The replica builds every transaction-carrying block here; for a
+        single transaction the block equals :meth:`create`'s, hash
+        included.
+        """
         return cls(
             transactions=tuple(transactions),
             positions=tuple(sorted(positions.items())),

@@ -3,17 +3,21 @@
 Covers the pieces the integration differential cannot isolate: batch
 digest memoisation, the singleton-unwrap rule, window accounting and
 member release, retry dedup, and the view-change reset paths — all
-against a minimal fake host, no simulator involved.
+against a minimal fake host, no simulator involved — plus the apply
+side, where a bare request is applied as a batch of one.
 """
 
 import pytest
 
+from repro.api import DeploymentSpec
 from repro.common.config import ProtocolTuning
-from repro.common.types import AccountId, ClientId, ClusterId
+from repro.common.types import AccountId, ClientId, ClusterId, FaultModel
 from repro.consensus.batching import BatchPipeline, member_requests
 from repro.consensus.log import item_digest
 from repro.consensus.messages import ClientRequest, RequestBatch
+from repro.core.system import SharPerSystem
 from repro.txn.transaction import Transaction, Transfer
+from repro.txn.workload import WorkloadConfig
 
 
 def make_request(index: int) -> ClientRequest:
@@ -231,3 +235,30 @@ class TestViewChangeReset:
         # them now, and a later retry through this replica must forward
         # again rather than vanish.
         assert not pipeline.knows(item_digest(requests[1]))
+
+
+class TestApplyDuplicateMember:
+    @pytest.mark.parametrize("wrap", [False, True], ids=["bare-request", "batch"])
+    def test_duplicate_applies_as_noop_without_guard(self, wrap):
+        """A transaction ordered twice commits once, guard or no guard.
+
+        With no :class:`~repro.core.guard.RequestGuard` armed, the ledger
+        index alone must catch the duplicate at apply time: the second
+        slot fills with a no-op block instead of re-executing the
+        transaction (which the ledger would refuse as a fork).
+        """
+        config = DeploymentSpec(
+            system="sharper", fault_model=FaultModel.CRASH, num_clusters=2
+        ).resolve(seed=1)
+        system = SharPerSystem(config, WorkloadConfig(accounts_per_shard=64), seed=1)
+        replica = system.primary_of(ClusterId(0))
+        assert replica.request_guard is None
+        request = make_request(0)  # accounts 0 -> 1, both on shard 0
+        duplicate = RequestBatch(requests=(request,)) if wrap else request
+        replica.log.decide(1, item_digest(request), request)
+        replica.log.decide(2, item_digest(duplicate), duplicate)
+        replica.after_decide()
+        assert replica.committed_count == 1
+        assert replica.chain.height == 2
+        assert replica.chain.block_at(1).tx_ids == (request.transaction.tx_id,)
+        assert replica.chain.block_at(2).is_noop

@@ -53,6 +53,15 @@ class TestBlock:
         assert a.block_hash != b.block_hash
         assert a.block_hash != c.block_hash
 
+    @pytest.mark.parametrize("positions", [{0: 1}, {1: 2, 0: 3}], ids=["intra", "cross"])
+    def test_batch_of_one_equals_single_transaction_block(self, positions):
+        transaction = tx(1, 15)
+        parents = {0: Block.genesis().block_hash}
+        single = Block.create(transaction, positions=positions, proposer=0, parents=parents)
+        batch = Block.create_batch((transaction,), positions=positions, proposer=0, parents=parents)
+        assert batch == single
+        assert batch.block_hash == single.block_hash
+
     def test_hash_ignores_parent_metadata(self):
         transaction = tx()
         bare = Block.create(transaction, positions={0: 1, 1: 2}, proposer=0)
