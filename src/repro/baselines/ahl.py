@@ -242,7 +242,7 @@ class ReferenceCommitteeReplica(Process):
         self.send(int(node_id), message)
 
     # ------------------------------------------------------------------
-    # message handling (table-driven; see Process.on_message)
+    # message handling (table-driven; see Process._dispatch_message)
     # ------------------------------------------------------------------
     def _on_client_request(self, request: ClientRequest, src: int) -> None:
         if request.reply_to < 0:

@@ -17,11 +17,17 @@ replica group; their performance is therefore insensitive to the
 cross-shard percentage, which is exactly the behaviour Figures 6 and 7
 show.
 
-The fast engines model the phase reduction: replicas execute as soon as
-they accept the leader's proposal and the leader replies after collecting
-the (larger) fast quorum, eliminating the explicit commit phase.  This
+The fast engines model the phase reduction on top of the slot lifecycle
+Paxos and PBFT share (:class:`~repro.consensus.base.ConsensusEngine`),
+each overriding only the step that differs.  FPaxos backups execute as
+soon as they accept the leader's proposal, the leader executes and
+replies when it proposes, and the (larger) fast quorum is only counted:
+no commit is multicast.  FaB decides at its prepare quorum through the
+``_on_prepared`` hook, eliminating PBFT's commit phase.  This
 reproduces the latency/throughput profile of Fast Paxos [34] and FaB [40]
 in fault-free runs, which is all the paper's evaluation exercises.
+Because the lifecycle is shared, traced runs of both engines record the
+same ``prepared``/``decided`` milestones and deciding votes as SharPer.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from ..consensus.messages import (
     PassiveUpdate,
     PaxosAccept,
     PaxosAccepted,
-    PrePrepare,
 )
 from ..consensus.paxos import PaxosEngine
 from ..consensus.pbft import PBFTEngine
@@ -65,9 +70,9 @@ __all__ = [
 class FastPaxosEngine(PaxosEngine):
     """Fast Paxos [34]: ``3f + 1`` acceptors, one fewer phase than Paxos.
 
-    Backups execute optimistically when they accept; the leader decides
-    after a fast quorum of ``2f + 1`` accepted messages and replies
-    without multicasting a separate commit.
+    The leader decides speculatively when it proposes and backups when
+    they accept; the fast quorum of ``2f + 1`` accepted messages is
+    still collected, and no separate commit is multicast.
     """
 
     def __init__(self, host) -> None:
@@ -83,11 +88,7 @@ class FastPaxosEngine(PaxosEngine):
         # mismatch in a deployment with failures).
         entry = self.host.log.entry(slot)
         if entry is not None:
-            self.host.log.decide(
-                slot, entry.digest, entry.item, proposer=self.cluster_id, view=self.view
-            )
-            self.view_change.slot_decided(slot)
-            self.host.after_decide()
+            self._decide(slot, entry.digest, entry.item, self.view)
 
     def _on_accept(self, message: PaxosAccept, src: int) -> None:
         super()._on_accept(message, src)
@@ -96,29 +97,13 @@ class FastPaxosEngine(PaxosEngine):
         # uses; a real deployment would fall back to classic rounds).
         entry = self.host.log.entry(message.slot)
         if entry is not None and entry.digest == message.digest:
-            self.host.log.decide(
-                message.slot, message.digest, message.item,
-                proposer=self.cluster_id, view=message.view,
-            )
-            self.view_change.slot_decided(message.slot)
-            self.host.after_decide()
+            self._decide(message.slot, message.digest, message.item, message.view)
 
     def _on_accepted(self, message: PaxosAccepted, src: int) -> None:
-        if not self.is_primary or message.view != self.view:
-            return
-        key = (message.view, message.slot, message.digest)
-        if not self._accepted.vote(key, src):
-            return
-        entry = self.host.log.entry(message.slot)
-        if entry is None:
-            return
-        self.host.log.decide(
-            message.slot, message.digest, entry.item,
-            proposer=self.cluster_id, view=message.view,
-        )
-        self.view_change.slot_decided(message.slot)
-        # No commit phase: the leader replies straight after the fast quorum.
-        self.host.after_decide()
+        # No commit phase: the leader decided (and replied) when it
+        # proposed, so the fast quorum is only counted.
+        if self.is_primary and message.view == self.view:
+            self._accepted.vote((message.view, message.slot, message.digest), src)
 
 
 class FaBEngine(PBFTEngine):
@@ -134,19 +119,8 @@ class FaBEngine(PBFTEngine):
         f = host.cluster.f
         self._prepares.threshold = (n + 3 * f + 1 + 1) // 2
 
-    def _record_prepare_vote(self, key: tuple[int, int, str], voter: int) -> None:
-        if not self._prepares.vote(key, voter):
-            return
-        view, slot, digest = key
-        item = self._items.get(key)
-        if item is None:
-            entry = self.host.log.entry(slot)
-            if entry is None or entry.digest != digest:
-                return
-            item = entry.item
-        self.host.log.decide(slot, digest, item, proposer=self.cluster_id, view=view)
-        self.view_change.slot_decided(slot)
-        self.host.after_decide()
+    def _on_prepared(self, key: tuple[int, int, str]) -> None:
+        self._decide_key(key)
 
 
 class SingleGroupReplica(Process):
@@ -209,7 +183,7 @@ class SingleGroupReplica(Process):
         self.send(int(node_id), message)
 
     # ------------------------------------------------------------------
-    # message handling (table-driven; see Process.on_message)
+    # message handling (table-driven; see Process._dispatch_message)
     # ------------------------------------------------------------------
     def _on_client_request(self, request: ClientRequest, src: int) -> None:
         if request.reply_to < 0:

@@ -21,14 +21,10 @@ Two workloads are timed:
   batching speedup is host-independent; the per-configuration wall
   times use the same interleaved min-of-N discipline as fig8.
 
-The file also embeds :data:`BASELINE` — the same workloads measured on
-the pre-refactor tree (commit ``0781ed5``, interleaved back-to-back with
-the refactored tree on the same host) — and the speedup of the current
-run against it.  Baselines are host-specific: on a different machine the
-ratio is indicative, not a like-for-like comparison, and ``--quick``
-runs a smaller configuration whose numbers are never comparable.  Future
-PRs extend the trajectory by re-running this benchmark and comparing
-against the recorded history.
+Wall and CPU seconds are host-specific, and ``--quick`` runs a smaller
+configuration whose numbers are never comparable with a full run.
+``tools/bench_gate.py`` gates the committed report's fig8 *simulated*
+peaks, which are host-independent.
 """
 
 from __future__ import annotations
@@ -45,41 +41,11 @@ from ..sim.simulator import Simulator
 from .harness import ExperimentSpec, run_curve
 
 __all__ = [
-    "BASELINE",
     "batching_benchmark",
     "fig8_benchmark",
     "kernel_benchmark",
     "main",
 ]
-
-#: Pre-refactor measurements (commit 0781ed5) recorded on the original
-#: development host, interleaved with the refactored tree to cancel out
-#: machine-speed drift.  These are the reference the acceptance speedup
-#: is computed against.
-BASELINE: dict = {
-    "commit": "0781ed5",
-    "description": (
-        "pre-refactor tree: dataclass Event kernel, per-destination send "
-        "loops, isinstance dispatch chains, serial-only harness"
-    ),
-    "methodology": (
-        "min over 3 runs interleaved back-to-back with the refactored "
-        "tree on the same single-core host (the host's effective speed "
-        "drifts by >20%, so compare min-to-min from the same window; "
-        "kernel events/sec is the max observed). Interleaved pairs "
-        "measured 2.04x-2.40x on the fig8 sweep."
-    ),
-    "kernel": {"events": 200_000, "events_per_second": 370_842.0},
-    "fig8": {
-        "clusters": [2, 3, 4, 5],
-        "clients": [12, 48, 120],
-        "duration": 0.30,
-        "warmup": 0.06,
-        "total_wall_s": 26.29,
-        "total_cpu_s": 25.78,
-    },
-}
-
 
 def kernel_benchmark(n_chains: int = 50, events: int = 200_000) -> dict:
     """Pure event-kernel throughput: self-rescheduling callback chains."""
@@ -112,8 +78,7 @@ def fig8_benchmark(
 
     With ``repeats > 1`` every point is timed that many times and the
     *minimum* is reported — the standard way to cancel scheduler and
-    host-speed noise out of a wall-clock benchmark (matching how the
-    embedded baseline was recorded).
+    host-speed noise out of a wall-clock benchmark.
     """
     points: dict[str, dict[str, float]] = {}
     total_wall = total_cpu = 0.0
@@ -280,8 +245,6 @@ def run(quick: bool = False, jobs: int = 1, repeats: int = 1) -> dict:
     else:
         fig8 = fig8_benchmark(jobs=jobs, repeats=repeats)
         batching = batching_benchmark(jobs=jobs, repeats=repeats)
-    comparable = not quick
-    baseline_fig8 = BASELINE["fig8"]
     report = {
         "schema": "sharper-perfbench/1",
         "host": {
@@ -292,23 +255,6 @@ def run(quick: bool = False, jobs: int = 1, repeats: int = 1) -> dict:
         "kernel": kernel,
         "fig8": fig8,
         "batching": batching,
-        "baseline": BASELINE,
-        "speedup": {
-            "comparable_to_baseline": comparable,
-            "kernel_events_per_second": round(
-                kernel["events_per_second"] / BASELINE["kernel"]["events_per_second"], 3
-            ),
-            "fig8_wall": (
-                round(baseline_fig8["total_wall_s"] / fig8["total_wall_s"], 3)
-                if comparable
-                else None
-            ),
-            "fig8_cpu": (
-                round(baseline_fig8["total_cpu_s"] / fig8["total_cpu_s"], 3)
-                if comparable
-                else None
-            ),
-        },
     }
     return report
 
@@ -323,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="tiny configuration for CI smoke runs (not baseline-comparable)",
+        help="tiny configuration for CI smoke runs (not comparable with a full run)",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, help="process-pool size for the fig8 sweep"
@@ -337,9 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    speedup = report["speedup"]
-    print(f"kernel     : {report['kernel']['events_per_second']:,.0f} events/s "
-          f"({speedup['kernel_events_per_second']}x baseline)")
+    print(f"kernel     : {report['kernel']['events_per_second']:,.0f} events/s")
     print(f"fig8 sweep : {report['fig8']['total_wall_s']}s wall, "
           f"{report['fig8']['total_cpu_s']}s cpu")
     batching = report["batching"]
@@ -351,11 +295,6 @@ def main(argv: list[str] | None = None) -> int:
             f"(batch {winner['batch_size']}, depth {winner['pipeline_depth']}, "
             f"{winner['peak_tps']:,.0f} tps)"
         )
-    if speedup["comparable_to_baseline"]:
-        print(f"speedup    : {speedup['fig8_wall']}x wall, {speedup['fig8_cpu']}x cpu "
-              "vs pre-refactor baseline")
-    else:
-        print("speedup    : n/a (quick mode is not baseline-comparable)")
     print(f"report     : {args.output}")
     return 0
 

@@ -17,7 +17,8 @@ from typing import Any, Callable, ClassVar, Hashable, Mapping, Protocol, runtime
 from ..common.config import ClusterConfig
 from ..common.types import ClusterId, NodeId
 from ..sim.simulator import Timer
-from .log import EntryStatus, OrderingLog
+from .batching import record_member_phase
+from .log import OrderingLog
 
 __all__ = ["ConsensusHost", "QuorumTracker", "ConsensusEngine", "HandlerTable"]
 
@@ -29,6 +30,8 @@ class ConsensusHost(Protocol):
     node_id: NodeId
     cluster: ClusterConfig
     log: OrderingLog
+    #: flight recorder (:mod:`repro.obs`); None when untraced.
+    recorder: Any
 
     def multicast_cluster(self, message: Any) -> None:
         """Send ``message`` to every other node of this cluster."""
@@ -64,12 +67,24 @@ class QuorumTracker:
     A key fires at most once; duplicate votes from the same voter are
     ignored, matching the "matching messages from distinct nodes"
     requirement of every quorum in the paper.
+
+    Built with a ``host``, the tracker is the engines' one deciding-vote
+    seam: while the host's flight recorder has its causal layer armed,
+    each vote on an open key is recorded as a ``quorum_vote`` of
+    ``kind`` (the vote that reaches the threshold is the deciding one).
+    Untraced, that costs one ``is None`` check per vote.
     """
 
-    def __init__(self, threshold: int) -> None:
+    def __init__(
+        self, threshold: int, host: ConsensusHost | None = None, kind: str = ""
+    ) -> None:
         if threshold <= 0:
             raise ValueError("quorum threshold must be positive")
         self.threshold = threshold
+        #: replica whose flight recorder receives each vote as a causal
+        #: ``quorum_vote`` of ``kind``; None records nothing.
+        self._host = host
+        self.kind = kind
         self._votes: dict[Hashable, set[int]] = defaultdict(set)
         self._fired: set[Hashable] = set()
 
@@ -79,10 +94,17 @@ class QuorumTracker:
             return False
         votes = self._votes[key]
         votes.add(voter)
-        if len(votes) >= self.threshold:
+        fired = len(votes) >= self.threshold
+        if fired:
             self._fired.add(key)
-            return True
-        return False
+        host = self._host
+        if host is not None:
+            recorder = host.recorder
+            if recorder is not None and recorder.causal_armed:
+                recorder.quorum_vote(
+                    host.now, int(host.node_id), self.kind, key, int(voter), fired
+                )
+        return fired
 
     def count(self, key: Hashable) -> int:
         """Number of distinct votes recorded for ``key``."""
@@ -149,7 +171,17 @@ class HandlerTable:
 
 
 class ConsensusEngine(HandlerTable):
-    """Common plumbing shared by the intra-shard engines."""
+    """Common plumbing shared by the intra-shard engines.
+
+    Every intra-shard engine (Paxos, PBFT, and the FPaxos/FaB baselines)
+    runs the same slot lifecycle and differs only in its message flow
+    and quorum sizes: a slot opens when the replica accepts a proposal
+    (:meth:`_open_slot`), votes are counted by :class:`QuorumTracker`,
+    and the slot closes through :meth:`_decide`, after which the host
+    applies it.  Engines record pending and decided slots, arm and stop
+    the view-change timer, and emit slot spans and the ``propose`` /
+    ``decided`` milestones only through these two methods.
+    """
 
     def __init__(self, host: ConsensusHost) -> None:
         self.host = host
@@ -193,6 +225,44 @@ class ConsensusEngine(HandlerTable):
         """
 
     # ------------------------------------------------------------------
+    # the shared slot lifecycle
+    # ------------------------------------------------------------------
+    def _open_slot(
+        self, slot: int, digest: str, item: object, view: int, propose: bool = False
+    ) -> None:
+        """Accept ``item`` at ``slot``: log it pending and watch the slot.
+
+        Raises :class:`~repro.common.errors.ConsensusError` when the slot
+        already holds a different digest in this view (backups then
+        refuse to vote).  ``propose`` marks the primary's own proposal,
+        which records the members' ``propose`` milestone.
+        """
+        host = self.host
+        host.log.record_pending(slot, digest, item, view=view, proposer=self.cluster_id)
+        self.view_change.monitor_slot(slot)
+        recorder = host.recorder
+        if recorder is not None:
+            now = host.now
+            pid = int(host.node_id)
+            recorder.slot_open(now, pid, int(self.cluster_id), slot)
+            if propose:
+                record_member_phase(recorder, now, item, "propose", pid)
+
+    def _decide(
+        self, slot: int, digest: str, item: object, view: int, announce: Any = None
+    ) -> None:
+        """Decide ``slot``, multicast ``announce`` (if any), then let the host apply."""
+        host = self.host
+        host.log.decide(slot, digest, item, proposer=self.cluster_id, view=view)
+        recorder = host.recorder
+        if recorder is not None:
+            record_member_phase(recorder, host.now, item, "decided", int(host.node_id))
+        self.view_change.slot_decided(slot)
+        if announce is not None:
+            host.multicast_cluster(announce)
+        host.after_decide()
+
+    # ------------------------------------------------------------------
     # primary side (concrete engines implement ``propose_at``)
     # ------------------------------------------------------------------
     def submit(self, item: object) -> int | None:
@@ -202,15 +272,3 @@ class ConsensusEngine(HandlerTable):
         slot = self.host.log.allocate()
         self.propose_at(slot, item)
         return slot
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def undecided_count(self) -> int:
-        """Number of slots proposed but not yet decided at this replica."""
-        return sum(
-            1
-            for entry in self.host.log.entries()
-            if entry.status is EntryStatus.PENDING
-        )

@@ -11,12 +11,18 @@ Consensus instances are pipelined over sequence numbers (Multi-Paxos
 style); the ledger layer applies decided slots strictly in order, so the
 chain every replica materialises is identical to the one the paper's
 hash-chained formulation produces.
+
+The engine only supplies the message flow: opening and deciding a slot
+(log, view-change timer, trace milestones) is the slot lifecycle shared
+by every intra-shard engine (:meth:`ConsensusEngine._open_slot` and
+:meth:`ConsensusEngine._decide`), and the ``accepted`` votes are counted
+— and traced — by a host-bound :class:`QuorumTracker`.
 """
 
 from __future__ import annotations
 
+from ..common.errors import ConsensusError
 from .base import ConsensusEngine, ConsensusHost, QuorumTracker
-from .batching import record_member_phase
 from .log import item_digest
 from .messages import NewView, PaxosAccept, PaxosAccepted, PaxosCommit, ViewChange
 from .view_change import ViewChangeManager
@@ -38,7 +44,7 @@ class PaxosEngine(ConsensusEngine):
     def __init__(self, host: ConsensusHost) -> None:
         super().__init__(host)
         # f + 1 votes (counting the primary itself) decide a slot.
-        self._accepted = QuorumTracker(host.cluster.f + 1)
+        self._accepted = QuorumTracker(host.cluster.f + 1, host, "accept")
         self.view_change = ViewChangeManager(self, quorum=host.cluster.f + 1)
 
     # ------------------------------------------------------------------
@@ -47,22 +53,12 @@ class PaxosEngine(ConsensusEngine):
     def propose_at(self, slot: int, item: object) -> None:
         """Propose ``item`` at an explicit slot (used by view changes too)."""
         digest = item_digest(item)
-        self.host.log.record_pending(slot, digest, item, view=self.view, proposer=self.cluster_id)
-        message = PaxosAccept(view=self.view, slot=slot, digest=digest, item=item)
-        self.host.multicast_cluster(message)
+        self._open_slot(slot, digest, item, self.view, propose=True)
+        self.host.multicast_cluster(
+            PaxosAccept(view=self.view, slot=slot, digest=digest, item=item)
+        )
         # The primary's own vote counts toward the f + 1 majority.
-        fired = self._accepted.vote((self.view, slot, digest), self.host.node_id)
-        self.view_change.monitor_slot(slot)
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            recorder.slot_open(now, pid, int(self.host.cluster.cluster_id), slot)
-            record_member_phase(recorder, now, item, "propose", pid)
-            if recorder.causal_armed:
-                recorder.quorum_vote(
-                    now, pid, "accept", (self.view, slot, digest), pid, fired
-                )
+        self._accepted.vote((self.view, slot, digest), self.host.node_id)
 
     # ------------------------------------------------------------------
     # message handling (table-driven; see HandlerTable.handle)
@@ -76,20 +72,10 @@ class PaxosEngine(ConsensusEngine):
             # The cluster moved on without us; adopt the newer view.
             self.view = message.view
         try:
-            self.host.log.record_pending(
-                message.slot, message.digest, message.item, view=message.view,
-                proposer=self.cluster_id,
-            )
-        except Exception:
+            self._open_slot(message.slot, message.digest, message.item, message.view)
+        except ConsensusError:
             # The slot already holds a different digest; do not vote.
             return
-        self.view_change.monitor_slot(message.slot)
-        recorder = self.host.recorder
-        if recorder is not None:
-            recorder.slot_open(
-                self.host.now, int(self.host.node_id),
-                int(self.host.cluster.cluster_id), message.slot,
-            )
         reply = PaxosAccepted(
             view=message.view, slot=message.slot, digest=message.digest, node=self.host.node_id
         )
@@ -98,47 +84,23 @@ class PaxosEngine(ConsensusEngine):
     def _on_accepted(self, message: PaxosAccepted, src: int) -> None:
         if not self.is_primary or message.view != self.view:
             return
-        key = (message.view, message.slot, message.digest)
-        fired = self._accepted.vote(key, src)
-        recorder = self.host.recorder
-        if recorder is not None and recorder.causal_armed:
-            recorder.quorum_vote(
-                self.host.now, int(self.host.node_id), "accept", key, int(src), fired
-            )
-        if not fired:
+        if not self._accepted.vote((message.view, message.slot, message.digest), src):
             return
         entry = self.host.log.entry(message.slot)
         item = entry.item if entry is not None else None
         if item is None:
             return
-        self.host.log.decide(
-            message.slot, message.digest, item,
-            proposer=self.cluster_id, view=message.view,
+        self._decide(
+            message.slot, message.digest, item, message.view,
+            announce=PaxosCommit(
+                view=message.view, slot=message.slot, digest=message.digest, item=item
+            ),
         )
-        recorder = self.host.recorder
-        if recorder is not None:
-            record_member_phase(recorder, self.host.now, item, "decided", int(self.host.node_id))
-        self.view_change.slot_decided(message.slot)
-        commit = PaxosCommit(
-            view=message.view, slot=message.slot, digest=message.digest, item=item
-        )
-        self.host.multicast_cluster(commit)
-        self.host.after_decide()
 
     def _on_commit(self, message: PaxosCommit, src: int) -> None:
         if src != self.host.cluster.primary_for_view(message.view):
             return
-        self.host.log.decide(
-            message.slot, message.digest, message.item,
-            proposer=self.cluster_id, view=message.view,
-        )
-        recorder = self.host.recorder
-        if recorder is not None:
-            record_member_phase(
-                recorder, self.host.now, message.item, "decided", int(self.host.node_id)
-            )
-        self.view_change.slot_decided(message.slot)
-        self.host.after_decide()
+        self._decide(message.slot, message.digest, message.item, message.view)
 
     # ------------------------------------------------------------------
     # checkpoint compaction (repro.recovery)

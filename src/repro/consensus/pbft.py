@@ -12,11 +12,18 @@ Normal-case operation over a cluster of ``3f + 1`` nodes:
 
 Replicas execute decided slots in order and reply to the client, which
 waits for ``f + 1`` matching replies.  The view-change path is shared
-with the Paxos engine (:class:`~repro.consensus.view_change.ViewChangeManager`).
+with the Paxos engine (:class:`~repro.consensus.view_change.ViewChangeManager`),
+and so is the slot lifecycle: slots open and decide through
+:meth:`ConsensusEngine._open_slot` / :meth:`ConsensusEngine._decide`,
+and both quorums are host-bound :class:`QuorumTracker` instances that
+trace their votes.  Reaching the prepare quorum calls
+:meth:`PBFTEngine._on_prepared`, which starts the commit round; FaB
+overrides that one step to decide directly.
 """
 
 from __future__ import annotations
 
+from ..common.errors import ConsensusError
 from .base import ConsensusEngine, ConsensusHost, QuorumTracker
 from .batching import record_member_phase
 from .log import item_digest
@@ -44,8 +51,8 @@ class PBFTEngine(ConsensusEngine):
     def __init__(self, host: ConsensusHost) -> None:
         super().__init__(host)
         quorum = 2 * host.cluster.f + 1
-        self._prepares = QuorumTracker(quorum)
-        self._commits = QuorumTracker(quorum)
+        self._prepares = QuorumTracker(quorum, host, "prepare")
+        self._commits = QuorumTracker(quorum, host, "commit")
         self._items: dict[tuple[int, int, str], object] = {}
         #: pre-prepares for views this replica has not installed yet,
         #: keyed by view; released by :meth:`on_view_installed`.
@@ -59,19 +66,12 @@ class PBFTEngine(ConsensusEngine):
     def propose_at(self, slot: int, item: object) -> None:
         """Send the pre-prepare for ``item`` at an explicit slot."""
         digest = item_digest(item)
-        self.host.log.record_pending(slot, digest, item, view=self.view, proposer=self.cluster_id)
+        self._open_slot(slot, digest, item, self.view, propose=True)
         key = (self.view, slot, digest)
         self._items[key] = item
         self.host.multicast_cluster(
             PrePrepare(view=self.view, slot=slot, digest=digest, item=item)
         )
-        self.view_change.monitor_slot(slot)
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            recorder.slot_open(now, pid, int(self.host.cluster.cluster_id), slot)
-            record_member_phase(recorder, now, item, "propose", pid)
         # The primary's pre-prepare counts as its prepare vote.
         self._record_prepare_vote(key, self.host.node_id)
 
@@ -93,22 +93,12 @@ class PBFTEngine(ConsensusEngine):
             self._stash_pre_prepare(message, src)
             return
         try:
-            self.host.log.record_pending(
-                message.slot, message.digest, message.item, view=message.view,
-                proposer=self.cluster_id,
-            )
-        except Exception:
+            self._open_slot(message.slot, message.digest, message.item, message.view)
+        except ConsensusError:
             # A different digest already occupies the slot: do not prepare.
             return
         key = (message.view, message.slot, message.digest)
         self._items[key] = message.item
-        self.view_change.monitor_slot(message.slot)
-        recorder = self.host.recorder
-        if recorder is not None:
-            recorder.slot_open(
-                self.host.now, int(self.host.node_id),
-                int(self.host.cluster.cluster_id), message.slot,
-            )
         prepare = Prepare(
             view=message.view, slot=message.slot, digest=message.digest, node=self.host.node_id
         )
@@ -125,23 +115,20 @@ class PBFTEngine(ConsensusEngine):
         self._record_prepare_vote(key, src)
 
     def _record_prepare_vote(self, key: tuple[int, int, str], voter: int) -> None:
-        fired = self._prepares.vote(key, voter)
-        causal = self.host.recorder
-        if causal is not None and causal.causal_armed:
-            causal.quorum_vote(
-                self.host.now, int(self.host.node_id), "prepare", key, int(voter), fired
-            )
-        if not fired:
+        if not self._prepares.vote(key, voter):
             return
-        # Prepared: multicast commit and count our own commit vote.
-        view, slot, digest = key
         recorder = self.host.recorder
         if recorder is not None:
-            item = self._items.get(key)
+            item = self._item_for(key)
             if item is not None:
                 record_member_phase(
                     recorder, self.host.now, item, "prepared", int(self.host.node_id)
                 )
+        self._on_prepared(key)
+
+    def _on_prepared(self, key: tuple[int, int, str]) -> None:
+        """Prepared: multicast commit and count our own commit vote."""
+        view, slot, digest = key
         commit = PBFTCommit(view=view, slot=slot, digest=digest, node=self.host.node_id)
         self.host.multicast_cluster(commit)
         self._record_commit_vote(key, self.host.node_id)
@@ -151,27 +138,25 @@ class PBFTEngine(ConsensusEngine):
         self._record_commit_vote(key, src)
 
     def _record_commit_vote(self, key: tuple[int, int, str], voter: int) -> None:
-        fired = self._commits.vote(key, voter)
-        causal = self.host.recorder
-        if causal is not None and causal.causal_armed:
-            causal.quorum_vote(
-                self.host.now, int(self.host.node_id), "commit", key, int(voter), fired
-            )
-        if not fired:
-            return
-        view, slot, digest = key
+        if self._commits.vote(key, voter):
+            self._decide_key(key)
+
+    def _decide_key(self, key: tuple[int, int, str]) -> None:
+        """Decide the slot of a ``(view, slot, digest)`` key whose quorum fired."""
+        item = self._item_for(key)
+        if item is not None:
+            view, slot, digest = key
+            self._decide(slot, digest, item, view)
+
+    def _item_for(self, key: tuple[int, int, str]) -> object | None:
+        """The item voted on under ``key``: cached from the pre-prepare, or
+        the log's entry for the slot when it holds the same digest."""
         item = self._items.get(key)
         if item is None:
-            entry = self.host.log.entry(slot)
-            if entry is None or entry.digest != digest:
-                return
-            item = entry.item
-        self.host.log.decide(slot, digest, item, proposer=self.cluster_id, view=view)
-        recorder = self.host.recorder
-        if recorder is not None:
-            record_member_phase(recorder, self.host.now, item, "decided", int(self.host.node_id))
-        self.view_change.slot_decided(slot)
-        self.host.after_decide()
+            entry = self.host.log.entry(key[1])
+            if entry is not None and entry.digest == key[2]:
+                item = entry.item
+        return item
 
     def _stash_pre_prepare(self, message: PrePrepare, src: int) -> None:
         """Park a future-view pre-prepare, preferring the nearest views.

@@ -167,7 +167,7 @@ class _BaseClient(Process):
         self._schedule_resend(state, tx_id)
 
     # ------------------------------------------------------------------
-    # handling replies (table-driven; see Process.on_message)
+    # handling replies (table-driven; see Process._dispatch_message)
     # ------------------------------------------------------------------
     def _on_reply(self, message: ClientReply, src: int) -> None:
         state = self._outstanding.get(message.tx_id)

@@ -258,7 +258,7 @@ class SharPerReplica(Process):
         self._remote_primaries[cluster_id] = int(remote.primary_for_view(message.view))
 
     # ------------------------------------------------------------------
-    # message dispatch (table-driven; see Process.on_message)
+    # message dispatch (table-driven; see Process._dispatch_message)
     # ------------------------------------------------------------------
     def _on_client_request(self, request: ClientRequest, src: int) -> None:
         if request.reply_to < 0:
@@ -378,18 +378,14 @@ class SharPerReplica(Process):
         """Apply every decided slot that is next in line (in slot order)."""
         log = self.log
         interval = self._checkpoint_interval
-        if interval:
+        for entry in log.pop_applicable():
+            self._apply(entry)
             # Checkpoint exactly at interval boundaries, *inside* the
             # apply run: the chain head and store then reflect precisely
             # slots 1..seq, which is what makes the digest match across
             # the cluster.
-            for entry in log.pop_applicable():
-                self._apply(entry)
-                if entry.slot % interval == 0:
-                    self.checkpoints.take(entry.slot)
-        else:
-            for entry in log.pop_applicable():
-                self._apply(entry)
+            if interval and entry.slot % interval == 0:
+                self.checkpoints.take(entry.slot)
         # Inlined blocked_decisions read and timer guard: this runs once
         # per decide, on the hottest protocol path in the repo, and the
         # gap timer is almost always already armed while pipelining.

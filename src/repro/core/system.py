@@ -522,7 +522,3 @@ class SharPerSystem(BaseSystem):
             self.representative_of(cluster.cluster_id).store
             for cluster in self.config.clusters
         ]
-
-    def committed_per_cluster(self) -> dict[ClusterId, int]:
-        """Committed block count per cluster (from the representative views)."""
-        return {cluster_id: view.height for cluster_id, view in self.views().items()}

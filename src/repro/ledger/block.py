@@ -34,7 +34,7 @@ from typing import Mapping
 
 from ..common.crypto import GENESIS_HASH, chain_hash
 from ..common.errors import LedgerError
-from ..common.types import ClusterId, SequenceNumber
+from ..common.types import ClusterId
 from ..txn.transaction import Transaction
 
 __all__ = ["Block", "GENESIS_BLOCK_ID"]
@@ -267,10 +267,6 @@ class Block:
             if candidate == cluster:
                 return parent_hash
         raise LedgerError(f"block {self.block_hash[:8]} does not involve cluster {cluster}")
-
-    def sequence_numbers(self) -> tuple[SequenceNumber, ...]:
-        """The block's slots as :class:`SequenceNumber` objects."""
-        return tuple(SequenceNumber(cluster, index) for cluster, index in self.positions)
 
     def involves(self, cluster: ClusterId) -> bool:
         """Whether ``cluster`` stores this block in its view."""

@@ -2,23 +2,27 @@
 
 A :class:`Process` owns a single CPU.  Incoming messages are served in
 arrival order; each message occupies the CPU for the time computed by the
-:class:`~repro.sim.costs.CostModel`, and the protocol handler
-(:meth:`Process.on_message`) runs when that service completes.  Outgoing
-messages also charge the CPU and leave the node only once the CPU has
-produced them, which is what makes a primary that multicasts to many
+:class:`~repro.sim.costs.CostModel`, and the protocol handler runs
+(:meth:`Process._dispatch_message`) when that service completes.
+Outgoing messages also charge the CPU and leave the node only once the
+CPU has produced them, which is what makes a primary that multicasts to many
 replicas an honest bottleneck — the effect behind every saturation knee
 in the paper's figures.
 
 Performance model & parallel execution
 --------------------------------------
 Message dispatch is table-driven: subclasses register one handler per
-concrete message type (:meth:`Process.register_handler`), and the default
-:meth:`Process.on_message` resolves the handler with a single dict lookup
-on ``type(message)`` — no ``isinstance`` chains on the hot path.
-Messages of unregistered types are silently dropped, mirroring a real
-node discarding traffic it does not understand.  Multicasts go through
-:meth:`Network.multicast`, which shares one immutable payload across all
-destinations.
+concrete message type (:meth:`Process.register_handler`), and
+:meth:`Process._dispatch_message` — the one dispatch body — resolves the
+handler with a single dict lookup on ``type(message)``, with no
+``isinstance`` chains on the hot path.  A type with no registered
+handler falls back to :meth:`Process.on_message`, which drops it,
+mirroring a real node discarding traffic it does not understand
+(subclasses may override it instead of registering handlers).  When the
+flight recorder's causal layer is armed, the same handler call is
+bracketed in a recv context; untraced, dispatch makes no call besides
+the handler's.  Multicasts go through :meth:`Network.multicast`, which
+shares one immutable payload across all destinations.
 
 Fault injection hooks:
 
@@ -79,11 +83,8 @@ class Process:
         self.messages_received = 0
         self.messages_sent = 0
         self.cpu_busy_time = 0.0
-        #: message-type → handler table driving :meth:`on_message`.
+        #: message-type → handler table driving :meth:`_dispatch_message`.
         self._dispatch: dict[type, MessageHandler] = {}
-        #: subclasses that override on_message get it called per message;
-        #: table-driven subclasses skip the extra hop entirely.
-        self._uses_default_on_message = type(self).on_message is Process.on_message
         network.register(self)
 
     @property
@@ -143,32 +144,21 @@ class Process:
     def _dispatch_message(self, message: Any, src: int) -> None:
         if self.crashed:
             return
+        handler = self._dispatch.get(message.__class__)
+        if handler is None:
+            handler = self.on_message
         recorder = self.recorder
+        # Untraced, the handler is the only call: this is the hottest
+        # method in the repo.
         if recorder is None or not recorder.causal_armed:
-            if self._uses_default_on_message:
-                handler = self._dispatch.get(message.__class__)
-                if handler is not None:
-                    handler(message, src)
-                elif not self._dispatch:
-                    self.on_message(message, src)  # raises NotImplementedError
-            else:
-                self.on_message(message, src)
+            handler(message, src)
             return
         # Causal tracing: bracket the handler in a recv context so every
         # event it records (phases, sends, quorum votes) parents to this
-        # arrival.  The dispatch body is duplicated rather than factored
-        # into a helper to keep the untraced branch above allocation- and
-        # call-free — this is the hottest method in the repo.
+        # arrival.
         recorder.begin_dispatch(self.sim._now, message, src, self.pid)
         try:
-            if self._uses_default_on_message:
-                handler = self._dispatch.get(message.__class__)
-                if handler is not None:
-                    handler(message, src)
-                elif not self._dispatch:
-                    self.on_message(message, src)  # raises NotImplementedError
-            else:
-                self.on_message(message, src)
+            handler(message, src)
         finally:
             recorder.clear_context()
 
@@ -188,17 +178,14 @@ class Process:
         self._dispatch.update(handlers)
 
     def on_message(self, message: Any, src: int) -> None:
-        """Protocol handler: one dict lookup on the concrete message type.
+        """Fallback for message types with no registered handler.
 
-        Messages of unregistered types are dropped.  Subclasses either
-        register handlers at construction time or override this method
-        entirely.  A process with an empty table raises, signalling a
-        subclass that forgot to do either.
+        The message is dropped.  Subclasses either register handlers at
+        construction time or override this method to receive every
+        unregistered type.  A process with an empty table raises,
+        signalling a subclass that forgot to do either.
         """
-        handler = self._dispatch.get(type(message))
-        if handler is not None:
-            handler(message, src)
-        elif not self._dispatch:
+        if not self._dispatch:
             raise NotImplementedError(
                 f"{type(self).__name__} registered no message handlers and "
                 "does not override on_message"

@@ -70,10 +70,6 @@ class TransactionExecutor:
                 local.append((transfer, source_local, destination_local))
         return local
 
-    def _local_transfers(self, transaction: Transaction) -> list[Transfer]:
-        """Transfers with at least one endpoint in this shard."""
-        return [transfer for transfer, _, _ in self._classify_local(transaction)]
-
     def validate(
         self,
         transaction: Transaction,

@@ -22,6 +22,8 @@ Pattern follows ``test_batching_scenarios.py``'s differential style.
 
 import sys
 
+import pytest
+
 from repro.api import DeploymentSpec, FaultSchedule, Scenario, run_scenarios
 from repro.common.types import ClusterId, FaultModel
 from repro.obs import TraceSpec, write_chrome_trace
@@ -31,6 +33,7 @@ from repro.txn.workload import WorkloadConfig
 
 def traced_scenario(
     trace=None,
+    system: str = "sharper",
     batch_size: int | None = None,
     pipeline_depth: int | None = None,
     fault_model: FaultModel = FaultModel.CRASH,
@@ -44,7 +47,7 @@ def traced_scenario(
 ) -> Scenario:
     return Scenario(
         deployment=DeploymentSpec(
-            system="sharper",
+            system=system,
             fault_model=fault_model,
             num_clusters=num_clusters,
             batch_size=batch_size,
@@ -132,6 +135,28 @@ class TestTracedAcceptance:
         assert row["trace_txs"] > 0
         assert row["trace_attributed"] >= 0.95
         assert "submitted" in row and "abort_rate" in row
+
+
+class TestFastBaselinesTraced:
+    """FPaxos and FaB run the shared intra-shard slot lifecycle, so their
+    traces carry the same milestones and deciding votes as SharPer's."""
+
+    @pytest.mark.parametrize("fault_model", [FaultModel.CRASH, FaultModel.BYZANTINE])
+    def test_every_replied_tx_has_its_decided_milestone(self, fault_model):
+        result = traced_scenario(
+            trace=SPANS_ONLY, system="fast", fault_model=fault_model, duration=0.3
+        ).run()
+        result.raise_if_failed()
+        report = result.trace
+        milestones: dict[str, set[str]] = {}
+        for _, tx, phase, _ in report.events:
+            milestones.setdefault(tx, set()).add(phase)
+        replied = [phases for phases in milestones.values() if "reply" in phases]
+        assert replied
+        assert all("decided" in phases for phases in replied)
+        if fault_model is FaultModel.BYZANTINE:
+            assert all("prepared" in phases for phases in replied)
+        assert report.deciding
 
 
 class TestZeroOverheadOff:

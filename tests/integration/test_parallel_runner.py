@@ -105,7 +105,6 @@ class TestPerfbench:
         assert report["schema"] == "sharper-perfbench/1"
         assert report["kernel"]["events_per_second"] > 0
         assert report["fig8"]["total_wall_s"] > 0
-        assert report["baseline"]["fig8"]["total_wall_s"] > 0
-        # quick mode is never compared against the recorded baseline sweep
-        assert report["speedup"]["comparable_to_baseline"] is False
-        assert report["speedup"]["fig8_wall"] is None
+        assert report["quick"] is True
+        # no embedded host-specific baseline, hence no speedup fields
+        assert "baseline" not in report and "speedup" not in report

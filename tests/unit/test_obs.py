@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.consensus.base import QuorumTracker
 from repro.obs import (
     FlightRecorder,
     TraceSpec,
@@ -155,6 +156,24 @@ class TestFlightRecorder:
         assert clone.open_slots == ((0, 0, 1, 0.0005),)
         assert clone.breakdown.txs == 1
         assert "1 slot spans" not in clone.summary()  # still open, not closed
+
+    def test_quorum_tracker_with_host_records_one_deciding_vote_per_key(self):
+        recorder = FlightRecorder(TraceSpec(gauges=False))
+        host = type("H", (), {"recorder": recorder, "now": 0.0, "node_id": 0})()
+        tracker = QuorumTracker(2, host, "accept")
+        for now, key, voter in [
+            (0.001, "a", 0), (0.002, "a", 0), (0.003, "a", 1), (0.004, "a", 2),
+            (0.005, "b", 1), (0.006, "b", 2), (0.007, "c", 1),
+        ]:
+            host.now = now
+            tracker.vote(key, voter)
+        # A tracker built without a host (the view-change one) records nothing.
+        QuorumTracker(1).vote("d", 0)
+        report = recorder.finalize(_FakeSystem(), end_time=0.01)
+        assert [(row[1], row[2], row[3], row[4]) for row in report.deciding] == [
+            ("accept", "a", 1, 0.003),
+            ("accept", "b", 2, 0.006),
+        ]
 
     def test_as_dict_columns_are_prefixed(self):
         recorder = FlightRecorder(TraceSpec(gauges=False))
